@@ -212,9 +212,8 @@ pub struct ComponentSet {
 /// ([`crate::strip::strip_budget`]).
 ///
 /// This is the builder entry point behind incremental maintenance in
-/// `topodb`: both the epoch-chain and the legacy cache paths express
-/// "re-sweep only what changed against a base epoch" as a `reuse` closure
-/// over the base's component map.
+/// `topodb`: its epoch chain expresses "re-sweep only what changed against
+/// a base epoch" as a `reuse` closure over the base's component map.
 pub fn build_components_with_reuse<F>(instance: &SpatialInstance, reuse: F) -> ComponentSet
 where
     F: Fn(&[String]) -> Option<Arc<ComponentComplex>> + Sync,

@@ -1,34 +1,25 @@
-//! The performance claim of the epoch-chain backend: **snapshot acquisition
-//! is wait-free**, so readers neither lock nor wait on writers.
+//! Epoch publication: what snapshot acquisition costs, alone and while a
+//! writer commits.
 //!
-//! Three measurements, each run against both backends
-//! ([`TopoDatabase::from_instance_with_epoch_chain`] with `true`/`false`,
-//! so one process holds them side by side regardless of
-//! `TOPODB_EPOCH_CHAIN`):
-//!
-//! * `epoch_publish/snapshot_uncontended/{chain,rwlock}` — bare
-//!   `snapshot()` on a warm database with no writer in sight. The chain
-//!   path is one atomic load plus an `Arc` refcount bump; the legacy path
-//!   additionally takes the cache read lock.
-//! * `epoch_publish/commit_and_read/{chain,rwlock}` — one effective
-//!   insert-commit followed by a snapshot read. On the chain the build
-//!   happens inside the commit (epochs publish fully built); on the legacy
-//!   backend the commit is an invalidation and the *read* pays the
-//!   re-sweep — the pair is measured together so both backends account for
-//!   the same work.
-//! * `epoch_publish/<backend>/read_under_write_{p50,p99}_ns` — the
-//!   headline: snapshot-acquisition latency sampled while a background
-//!   writer commits continuously. On the chain, readers should be
-//!   oblivious to the writer (they load whichever epoch is published); on
-//!   the `RwLock` they serialize behind the writer's cache lock and
-//!   periodically pay a whole re-sweep inline. `scripts/bench_snapshot.sh`
-//!   gates chain-p99 ≤ rwlock-p99 on multi-core hosts (on a single core
-//!   the "background" writer interleaves on the same CPU and the
-//!   comparison measures the scheduler, not the lock structure).
+//! * `epoch_publish/snapshot_uncontended/chain` — bare `snapshot()` on a
+//!   warm database with no writer in sight: the head's read lock plus an
+//!   `Arc` refcount bump.
+//! * `epoch_publish/commit_and_read/chain` — one effective insert-commit
+//!   followed by a snapshot read. The build happens inside the commit
+//!   (epochs publish fully built), so the read is the warm path.
+//! * `epoch_publish/chain/read_under_write_{p50,p99}_ns` — snapshot
+//!   acquisition latency sampled while a background writer commits
+//!   continuously. Readers wait only on the writer's pointer swap, never on
+//!   its build. `scripts/bench_snapshot.sh` tracks the p99 on its perf
+//!   trajectory.
+//! * `epoch_publish/chain/commits` and `epoch_publish/chain/commit_{p50,p99}_ns`
+//!   — how many commits the writer landed during that read window, and
+//!   their latency, so a read p99 can be judged against the write load
+//!   behind it.
 //!
 //! `epoch_publish/chain/publish_conflicts` records how many publish
-//! compare-exchanges lost to a concurrent commit during the contended
-//! phase (informational; with one writer it is 0).
+//! attempts found the head moved during the contended phase
+//! (informational; with one writer it is 0).
 
 use criterion::{criterion_group, criterion_main, record_metric, BenchmarkId, Criterion};
 use std::hint::black_box;
@@ -40,15 +31,23 @@ use topodb::TopoDatabase;
 const CLUSTERS: usize = 16;
 const PER_CLUSTER: usize = 4;
 
-const BACKENDS: [(&str, bool); 2] = [("chain", true), ("rwlock", false)];
-
-fn warm_db(chain: bool) -> TopoDatabase {
-    let db = TopoDatabase::from_instance_with_epoch_chain(
-        datagen::clustered_map(CLUSTERS, PER_CLUSTER, 91),
-        chain,
-    );
+fn warm_db() -> TopoDatabase {
+    let db = TopoDatabase::from_instance(datagen::clustered_map(CLUSTERS, PER_CLUSTER, 91));
     db.snapshot();
     db
+}
+
+/// One effective commit: alternately insert and remove one name in one
+/// cluster.
+fn churn(db: &TopoDatabase, present: &mut bool) {
+    let mut txn = db.begin_shared();
+    if *present {
+        txn.remove("Churn");
+    } else {
+        txn.insert("Churn", Region::rect_from_ints(2, 2, 10, 10));
+    }
+    *present = !*present;
+    txn.commit();
 }
 
 /// Nearest-rank percentile over an already-sorted sample vector.
@@ -62,98 +61,70 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 
 fn snapshot_uncontended(c: &mut Criterion) {
     let mut group = c.benchmark_group("epoch_publish");
-    for (label, chain) in BACKENDS {
-        let db = warm_db(chain);
-        group.bench_with_input(BenchmarkId::new("snapshot_uncontended", label), &(), |b, _| {
-            b.iter(|| black_box(db.snapshot()))
-        });
-    }
+    let db = warm_db();
+    group.bench_with_input(BenchmarkId::new("snapshot_uncontended", "chain"), &(), |b, _| {
+        b.iter(|| black_box(db.snapshot()))
+    });
     group.finish();
 }
 
 fn commit_and_read(c: &mut Criterion) {
     let mut group = c.benchmark_group("epoch_publish");
-    for (label, chain) in BACKENDS {
-        let db = warm_db(chain);
-        // One effective commit (alternating insert/remove of one name in
-        // one cluster) plus the read that observes it: the chain builds in
-        // the commit, the legacy backend on the read, so the pair is the
-        // comparable unit.
-        let mut present = false;
-        group.bench_with_input(BenchmarkId::new("commit_and_read", label), &(), |b, _| {
-            b.iter(|| {
-                let mut txn = db.begin_shared();
-                if present {
-                    txn.remove("Churn");
-                } else {
-                    txn.insert("Churn", Region::rect_from_ints(2, 2, 10, 10));
-                }
-                present = !present;
-                txn.commit();
-                black_box(db.snapshot())
-            })
-        });
-    }
+    let db = warm_db();
+    let mut present = false;
+    group.bench_with_input(BenchmarkId::new("commit_and_read", "chain"), &(), |b, _| {
+        b.iter(|| {
+            churn(&db, &mut present);
+            black_box(db.snapshot())
+        })
+    });
     group.finish();
 }
 
 fn read_under_write(_c: &mut Criterion) {
     let smoke = std::env::args().any(|a| a == "--test");
     let samples = if smoke { 50 } else { 5000 };
-    for (label, chain) in BACKENDS {
-        let db = warm_db(chain);
-        let stop = AtomicBool::new(false);
-        let mut latencies: Vec<u64> = Vec::with_capacity(samples);
-        let mut commits = 0u64;
-        std::thread::scope(|scope| {
-            let writer = scope.spawn(|| {
-                let mut present = false;
-                let mut commits = 0u64;
-                while !stop.load(Ordering::Relaxed) {
-                    let mut txn = db.begin_shared();
-                    if present {
-                        txn.remove("Churn");
-                    } else {
-                        txn.insert("Churn", Region::rect_from_ints(2, 2, 10, 10));
-                    }
-                    present = !present;
-                    txn.commit();
-                    commits += 1;
-                }
-                commits
-            });
-            // Let the writer actually get going before sampling.
-            std::thread::sleep(Duration::from_millis(if smoke { 1 } else { 20 }));
-            for _ in 0..samples {
+    let db = warm_db();
+    let stop = AtomicBool::new(false);
+    let mut latencies: Vec<u64> = Vec::with_capacity(samples);
+    let mut commit_latencies: Vec<u64> = Vec::new();
+    std::thread::scope(|scope| {
+        let writer = scope.spawn(|| {
+            let mut present = false;
+            let mut commit_latencies = Vec::new();
+            while !stop.load(Ordering::Relaxed) {
                 let t0 = Instant::now();
-                black_box(db.snapshot());
-                latencies.push(t0.elapsed().as_nanos() as u64);
+                churn(&db, &mut present);
+                commit_latencies.push(t0.elapsed().as_nanos() as u64);
             }
-            stop.store(true, Ordering::Relaxed);
-            commits = writer.join().expect("writer thread");
+            commit_latencies
         });
-        latencies.sort_unstable();
-        record_metric(
-            format!("epoch_publish/{label}/read_under_write_p50_ns"),
-            percentile(&latencies, 0.50) as f64,
-        );
-        record_metric(
-            format!("epoch_publish/{label}/read_under_write_p99_ns"),
-            percentile(&latencies, 0.99) as f64,
-        );
-        eprintln!(
-            "epoch_publish/{label}: {commits} commits interleaved with {samples} reads \
-             (p50 {} ns, p99 {} ns)",
-            percentile(&latencies, 0.50),
-            percentile(&latencies, 0.99)
-        );
-        if chain {
-            record_metric(
-                "epoch_publish/chain/publish_conflicts",
-                db.publish_conflict_count() as f64,
-            );
+        // Let the writer actually get going before sampling.
+        std::thread::sleep(Duration::from_millis(if smoke { 1 } else { 20 }));
+        for _ in 0..samples {
+            let t0 = Instant::now();
+            black_box(db.snapshot());
+            latencies.push(t0.elapsed().as_nanos() as u64);
         }
-    }
+        stop.store(true, Ordering::Relaxed);
+        commit_latencies = writer.join().expect("writer thread");
+    });
+    latencies.sort_unstable();
+    commit_latencies.sort_unstable();
+    let (read_p50, read_p99) = (percentile(&latencies, 0.50), percentile(&latencies, 0.99));
+    let (commit_p50, commit_p99) =
+        (percentile(&commit_latencies, 0.50), percentile(&commit_latencies, 0.99));
+    let commits = commit_latencies.len();
+    record_metric("epoch_publish/chain/read_under_write_p50_ns", read_p50 as f64);
+    record_metric("epoch_publish/chain/read_under_write_p99_ns", read_p99 as f64);
+    record_metric("epoch_publish/chain/commits", commits as f64);
+    record_metric("epoch_publish/chain/commit_p50_ns", commit_p50 as f64);
+    record_metric("epoch_publish/chain/commit_p99_ns", commit_p99 as f64);
+    record_metric("epoch_publish/chain/publish_conflicts", db.publish_conflict_count() as f64);
+    eprintln!(
+        "epoch_publish/chain: {commits} commits (p50 {commit_p50} ns, p99 {commit_p99} ns) \
+         interleaved with {samples} reads (p50 {read_p50} ns, p99 {read_p99} ns)"
+    );
     println!("test read_under_write ... ok");
 }
 

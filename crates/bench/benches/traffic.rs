@@ -13,12 +13,10 @@
 //! makes its own tail latencies look better by slowing the clients down.
 //!
 //! All clients share one `&TopoDatabase` directly — no outer lock. Reads
-//! and queries acquire snapshots (wait-free on the epoch-chain backend);
-//! transactions commit through [`TopoDatabase::begin_shared`], so
+//! and queries acquire snapshots (waiting only on a commit's head-pointer
+//! swap); transactions commit through [`TopoDatabase::begin_shared`], so
 //! concurrent writers build their epochs outside any lock and serialize
-//! only at the publish compare-exchange. Setting `TOPODB_EPOCH_CHAIN=off`
-//! runs the same workload against the legacy `RwLock`-cache backend for
-//! comparison.
+//! only at the publish.
 //!
 //! The per-operation mix, drawn from each client's seeded RNG, is selected
 //! by `TRAFFIC_MIX`:
@@ -43,8 +41,8 @@
 //!
 //! The base map is selected by `TRAFFIC_MAP`: `small` (default, 8 clusters
 //! of 4 regions) or `clustered4096` (64 clusters of 64 regions — 4096
-//! base regions, the scale where per-commit re-sweep locality and
-//! wait-free reads actually matter).
+//! base regions, the scale where per-commit re-sweep locality and reads
+//! that never wait on a build actually matter).
 //!
 //! `TRAFFIC_WAL=on` runs the same workload against a *durable* database
 //! (a throwaway log directory under the temp dir, deleted afterwards), so
@@ -276,9 +274,8 @@ fn traffic(_c: &mut Criterion) {
 
     eprintln!(
         "traffic: {clients} clients x {ops} ops at {rate} ops/s each \
-         (offered {} ops/s total, {mix_label} mix, {map_label} map, {} backend, {}{})",
+         (offered {} ops/s total, {mix_label} mix, {map_label} map, {}{})",
         clients * rate,
-        if db.epoch_chain_enabled() { "epoch-chain" } else { "legacy rwlock" },
         if faults > 0.0 {
             format!("simfs wal {sync_label}, fault rate {faults}")
         } else if db.durable() {

@@ -233,9 +233,8 @@ impl Durability {
         }
     }
 
-    /// Append one committed batch. Called with the publish serialized (the
-    /// epoch chain holds `publish_lock`; the legacy backend holds its cache
-    /// write lock), so records arrive in exactly publish order.
+    /// Append one committed batch. Called with `publish_lock` held, so
+    /// records arrive in exactly publish order.
     ///
     /// `Ok` means the record is durably framed in the log (to the
     /// configured sync policy) — the commit may be acknowledged. `Err` is

@@ -1,13 +1,14 @@
-//! The epoch chain: wait-free snapshot publication for
+//! The epoch chain: snapshot publication for
 //! [`TopoDatabase`](crate::TopoDatabase).
 //!
 //! The chain is a singly-linked list of immutable, fully-built epochs
-//! ([`EpochState`]), newest first, published through an atomic pointer
-//! ([`swap::ArcSwap`]). Readers never take a lock: acquiring a snapshot is
-//! one atomic head load plus an `Arc` refcount bump. Writers run a
-//! three-stage pipeline:
+//! ([`EpochState`]), newest first. The newest epoch, the *head*, sits in a
+//! std `RwLock<Arc<EpochState>>`. Acquiring a snapshot takes the read lock
+//! for one `Arc` refcount bump; the write lock is held only to swap the
+//! head pointer. Readers therefore never wait on a build or a log write,
+//! only on a pointer swap. Writers run a three-stage pipeline:
 //!
-//! 1. **Intent** — under the small writers-only mutex, load the head as the
+//! 1. **Intent** — under the small writers-only mutex, read the head as the
 //!    *base epoch* and register its number in the writers registry, which
 //!    pins the chain: pruning never severs a `prev` link below the minimum
 //!    registered base, so conflict resolution can always walk from any later
@@ -19,29 +20,24 @@
 //!    ([`arrangement::build_components_with_reuse`], on the shared worker
 //!    pool under the strip-budget split). The result is a complete new
 //!    [`EpochState`] — view, snapshot and component map — constructed while
-//!    readers keep loading the old head and other writers build their own
+//!    readers keep reading the old head and other writers build their own
 //!    epochs concurrently.
-//! 3. **Publish** — compare-exchange the head from the base to the new
-//!    epoch. On conflict (another writer published first), collect the
-//!    names changed by the intervening epochs (a `prev`-walk from the new
-//!    head down to the old base), rebuild **only** the components those
-//!    names invalidate — reusing the new head's components where this
-//!    commit didn't touch them and this attempt's own components where the
-//!    intervening commits didn't — re-register against the new base, and
-//!    retry. Two commits touching disjoint components therefore both build
-//!    concurrently and the loser's retry is a pure re-assembly (zero
-//!    re-sweeps).
+//! 3. **Publish** — take the head's write lock, check that the head is
+//!    still the base (`Arc::ptr_eq`), and replace it with the new epoch. On
+//!    conflict (another writer published first), collect the names changed
+//!    by the intervening epochs (a `prev`-walk from the new head down to the
+//!    old base), rebuild **only** the components those names invalidate —
+//!    reusing the new head's components where this commit didn't touch them
+//!    and this attempt's own components where the intervening commits
+//!    didn't — re-register against the new base, and retry. Two commits
+//!    touching disjoint components therefore both build concurrently and the
+//!    loser's retry is a pure re-assembly (zero re-sweeps).
 //!
-//! **Reclamation invariant.** Three mechanisms bound memory without ever
-//! freeing under a reader: (a) the head swap itself retires the old head
-//! into [`swap::ArcSwap`]'s limbo list, which frees it only after both
-//! reader-pin slots have been observed empty at generation flips *after*
-//! the retirement; (b) the `prev` chain hanging off the head is pruned
-//! after each publish down to the minimum in-flight writer base (the
-//! registry), so the list length is bounded by concurrent writers, not by
-//! history; (c) severed epochs are plain `Arc`s — long-lived
-//! [`Snapshot`]s keep exactly the cells they reference alive and nothing
-//! else.
+//! **Memory.** The `prev` chain hanging off the head is pruned after each
+//! publish down to the minimum in-flight writer base (the registry), so the
+//! list length is bounded by concurrent writers, not by history. Severed
+//! epochs are plain `Arc`s: long-lived [`Snapshot`]s keep exactly the cells
+//! they reference alive and nothing else.
 
 use crate::snapshot::Snapshot;
 use crate::transaction::{CommitSummary, Op};
@@ -49,12 +45,9 @@ use arrangement::{CellComplex, ComponentComplex, GlobalComplexView};
 use spatial_core::instance::SpatialInstance;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError, RwLock};
 
-pub(crate) mod swap;
-use swap::ArcSwap;
-
-/// Build/diagnostic counters shared by both backends of the facade.
+/// Build/diagnostic counters of one database.
 #[derive(Default)]
 pub(crate) struct BuildCounters {
     /// Global assemblies performed (see
@@ -62,7 +55,7 @@ pub(crate) struct BuildCounters {
     pub complex_builds: AtomicU64,
     /// Component sub-complexes swept from scratch.
     pub component_rebuilds: AtomicU64,
-    /// Epoch-chain publish attempts that lost the head compare-exchange and
+    /// Publish attempts that found the head moved past their base and
     /// retried against the intervening epoch.
     pub publish_conflicts: AtomicU64,
 }
@@ -168,7 +161,7 @@ pub(crate) fn apply_ops(base: &SpatialInstance, ops: &[Op]) -> (SpatialInstance,
 /// Build the derived structures of an epoch: partition, sweep every group
 /// `reuse` declines (concurrently), assemble the zero-copy view, wrap it in
 /// a snapshot.
-pub(crate) fn build_epoch<F>(
+fn build_epoch<F>(
     epoch: u64,
     instance: &SpatialInstance,
     reuse: F,
@@ -189,7 +182,10 @@ where
 
 /// The epoch chain itself: the published head plus the writers registry.
 pub(crate) struct EpochChain {
-    head: ArcSwap<EpochState>,
+    /// The published head. The write lock is held only for the pointer swap
+    /// in [`EpochChain::compare_exchange`], never across a build or a log
+    /// write.
+    head: RwLock<Arc<EpochState>>,
     /// Base epochs of in-flight commits (a multiset: epoch → writer count).
     /// Registration happens under this mutex *before* the base head is
     /// adopted, and pruning happens under it too, so the chain is never
@@ -242,12 +238,26 @@ impl EpochChain {
             flat: OnceLock::new(),
             prev: Mutex::new(None),
         };
-        EpochChain { head: ArcSwap::new(Arc::new(root)), writers: Mutex::new(BTreeMap::new()) }
+        EpochChain { head: RwLock::new(Arc::new(root)), writers: Mutex::new(BTreeMap::new()) }
     }
 
-    /// The current head epoch — one atomic load plus an `Arc` bump, no lock.
+    /// The current head epoch: the read lock, held for one `Arc` bump.
     pub fn head(&self) -> Arc<EpochState> {
-        self.head.load()
+        // The head is only ever replaced whole, so a poisoned lock cannot
+        // hold a torn value.
+        Arc::clone(&self.head.read().unwrap_or_else(PoisonError::into_inner))
+    }
+
+    /// Publish `next` if the head is still `base` (pointer identity). The
+    /// write lock covers only the check and the pointer swap; the replaced
+    /// head is not freed under it, since the caller still holds `base`.
+    fn compare_exchange(&self, base: &Arc<EpochState>, next: Arc<EpochState>) -> bool {
+        let mut head = self.head.write().unwrap_or_else(PoisonError::into_inner);
+        if !Arc::ptr_eq(&head, base) {
+            return false;
+        }
+        *head = next;
+        true
     }
 
     /// Commit a batch: the three-stage pipeline described in the module
@@ -258,10 +268,10 @@ impl EpochChain {
     ///
     /// With `durability` attached, stage 3 runs the **log-before-publish**
     /// protocol: the publish serializes on the WAL publish lock, re-checks
-    /// that the head is still this attempt's base, appends the batch to
-    /// the log, and only then swaps the head. The head check under the
-    /// lock makes the compare-exchange infallible for the attempt that
-    /// logged, so a batch is appended exactly once — on its winning
+    /// (under the head's read lock) that the head is still this attempt's
+    /// base, appends the batch to the log, and only then takes the head's
+    /// write lock for the swap. The head check under the publish lock
+    /// makes the swap infallible for the attempt that logged, so a batch is appended exactly once — on its winning
     /// attempt — and a record hits the log strictly before the epoch it
     /// describes becomes visible to readers. A stale head is discovered
     /// *before* the append, so losing attempts log nothing and take the
@@ -277,7 +287,7 @@ impl EpochChain {
         // this base however many commits land first.
         let (base, mut intent) = {
             let mut writers = lock(&self.writers);
-            let base = self.head.load();
+            let base = self.head();
             *writers.entry(base.epoch).or_insert(0) += 1;
             let epoch = base.epoch;
             (base, Intent { chain: self, epoch })
@@ -320,7 +330,7 @@ impl EpochChain {
                 prev: Mutex::new(Some(Arc::clone(&current_base))),
             });
             let published = match durability {
-                None => self.head.compare_exchange(&current_base, Arc::clone(&next)).is_ok(),
+                None => self.compare_exchange(&current_base, Arc::clone(&next)),
                 Some(d) => {
                     // Log-before-publish: serialize publishes, verify the
                     // head is still our base, append, then swap. The swap
@@ -328,15 +338,14 @@ impl EpochChain {
                     // the same lock — so the record and the epoch commit
                     // or skip together.
                     let _publishing = lock(&d.publish_lock);
-                    if Arc::ptr_eq(&self.head.load(), &current_base) {
+                    if Arc::ptr_eq(&self.head(), &current_base) {
                         // A durability failure aborts the commit cleanly:
                         // nothing was published, the intent guard
                         // deregisters on drop, and readers stay on the old
                         // head.
                         d.log_batch(next.epoch, &ops, &changed, &next_instance)?;
-                        self.head
-                            .compare_exchange(&current_base, Arc::clone(&next))
-                            .expect("head swap serialized under the WAL publish lock");
+                        let swapped = self.compare_exchange(&current_base, Arc::clone(&next));
+                        assert!(swapped, "head swap serialized under the WAL publish lock");
                         true
                     } else {
                         false
@@ -355,7 +364,7 @@ impl EpochChain {
                     // build before `next` is dropped.
                     let own_components =
                         next.built.get().expect("unpublished epoch keeps its build").components.clone();
-                    let new_head = self.head.load();
+                    let new_head = self.head();
                     // Names changed between our stale base and the new head
                     // (None if the walk cannot reach the base — defensive:
                     // registration makes that unreachable in practice).

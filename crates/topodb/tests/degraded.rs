@@ -2,10 +2,12 @@
 //! fault-injecting [`wal::SimFs`] backend: transient faults are absorbed
 //! by bounded backoff, unsurvivable faults flip the database to read-only
 //! **exactly once**, commits then fail fast with the original root cause,
-//! and reads keep serving throughout.
+//! and reads keep serving throughout. A commit whose build panics leaves
+//! neither a log record nor a published epoch behind.
 
 use spatial_core::instance::SpatialInstance;
 use spatial_core::region::Region;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 use topodb::{Clock, RetryPolicy, StorageOptions, TopoDatabase, TopoDbError};
@@ -56,7 +58,6 @@ fn health_reports_healthy_then_degraded_with_the_root_cause() {
     commit_rect(&db, "A", 0).expect("healthy commit");
 
     let h = db.health();
-    assert_eq!(h.backend, if db.epoch_chain_enabled() { "epoch-chain" } else { "legacy-rwlock" });
     assert!(h.durable);
     assert_eq!(h.epoch, 1);
     assert_eq!(h.degraded, None, "healthy: no degradation cause");
@@ -257,4 +258,59 @@ fn dir_sync_downgrades_surface_in_health() {
     assert_eq!(h.degraded, None, "a downgrade is not a degradation");
     assert_eq!(h.last_checkpoint_epoch, Some(1), "the checkpoint took effect");
     commit_rect(&db, "B", 10).expect("the database stays healthy");
+}
+
+#[test]
+fn a_panicking_build_leaves_nothing_behind() {
+    let (db, sim, _clock) = sim_db(RetryPolicy::default());
+    commit_rect(&db, "A", 0).expect("healthy commit");
+    let epoch = db.update_epoch();
+    let wal_head = db.health().wal_head_epoch;
+    let matrix = db.relation_matrix();
+
+    // Two crossing slanted quadrilaterals with corners near ±10^17: their
+    // crossing points overflow the exact `Rational` arithmetic mid-build.
+    // The build runs before the log append, so the panic must unwind out of
+    // the commit before anything reaches the log or the head.
+    const BIG: i64 = 100_000_000_000_000_000;
+    let h = Region::polygon_from_ints(&[
+        (-BIG, -BIG + 7),
+        (BIG - 3, -BIG),
+        (BIG, BIG - 11),
+        (-BIG + 5, BIG),
+    ])
+    .expect("simple quadrilateral");
+    let v = Region::polygon_from_ints(&[
+        (-BIG + 13, -BIG),
+        (BIG, -BIG + 17),
+        (BIG - 19, BIG),
+        (-BIG, BIG - 23),
+    ])
+    .expect("simple quadrilateral");
+    let outcome = catch_unwind(AssertUnwindSafe(|| {
+        let mut txn = db.begin_shared();
+        txn.insert("H", h);
+        txn.insert("V", v);
+        txn.try_commit()
+    }));
+    assert!(outcome.is_err(), "the overflowing build must panic");
+    assert_eq!(db.update_epoch(), epoch, "the head epoch is unchanged");
+    assert_eq!(db.health().wal_head_epoch, wal_head, "nothing reached the log");
+    assert_eq!(db.health().degraded, None, "a panicking build is not a storage failure");
+    assert_eq!(db.relation_matrix(), matrix);
+
+    // The intent registry was released and the head lock is usable.
+    commit_rect(&db, "B", 10).expect("a valid commit after the panic");
+    assert_eq!(db.update_epoch(), epoch + 1);
+    let matrix = db.relation_matrix();
+
+    std::mem::forget(db);
+    sim.power_cycle();
+    let reopened = TopoDatabase::open_with_storage(
+        DIR,
+        StorageOptions::default().with_vfs(Arc::new(sim.clone())),
+    )
+    .expect("reopen after the panicked commit");
+    assert_eq!(reopened.update_epoch(), epoch + 1);
+    assert_eq!(reopened.relation_matrix(), matrix, "the reopen recovers the same relations");
 }

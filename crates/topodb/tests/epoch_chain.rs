@@ -1,19 +1,22 @@
-//! The epoch chain vs the legacy `RwLock` cache, held equal and hammered.
+//! The epoch chain, checked against a cold rebuild and hammered.
 //!
 //! Three suites:
 //!
 //! 1. **Randomized interleaved differential** — a deterministic schedule of
-//!    batched commits and reads replayed against a chain database and a
-//!    legacy (`TOPODB_EPOCH_CHAIN=off`-equivalent) database side by side;
-//!    after every step the epochs, commit summaries, relation matrices and
-//!    prepared-query rows must be byte-identical, and long-lived snapshots
-//!    from earlier epochs must keep answering for their epoch on both.
+//!    batched commits and reads. After every step the head must observe
+//!    exactly what a cold [`TopoDatabase::from_instance`] of the same
+//!    instance observes (names, relation matrix, anchored-query rows): that
+//!    database is built from scratch with no component reuse. The head's
+//!    complex view must also fingerprint-match
+//!    [`arrangement::build_complex_monolithic`] up to re-indexing, and
+//!    long-lived snapshots from earlier epochs must keep the digest they had
+//!    when they were taken.
 //! 2. **Concurrent stress** — N reader threads acquiring snapshots while M
 //!    writers commit disjoint and overlapping component sets through
 //!    [`TopoDatabase::begin_shared`]; every reader asserts epoch
 //!    monotonicity and internal consistency, and the final state must equal
-//!    the legacy oracle applying each writer's final sub-state (writers own
-//!    their name spaces, so the final instance is interleaving-independent).
+//!    a cold rebuild of each writer's final sub-state (writers own their
+//!    name spaces, so the final instance is interleaving-independent).
 //! 3. **Pointer-identical reuse** — commits must carry every untouched
 //!    `Arc<ComponentComplex>` of their base epoch into the published epoch
 //!    unchanged, including across concurrent disjoint commits.
@@ -22,96 +25,111 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
+use topodb::arrangement;
 use topodb::query::PreparedQuery;
+use topodb::spatial_core::instance::SpatialInstance;
 use topodb::spatial_core::prelude::*;
 use topodb::TopoDatabase;
+
+// The re-indexing-invariant complex fingerprint of the arrangement crate's
+// differential suites.
+#[path = "../../arrangement/tests/common/mod.rs"]
+mod common;
+use common::fingerprint;
 
 const CLUSTERS: usize = 6;
 const PER_CLUSTER: usize = 3;
 
-fn chain_db(seed: u64) -> TopoDatabase {
-    TopoDatabase::from_instance_with_epoch_chain(
-        datagen::clustered_map(CLUSTERS, PER_CLUSTER, seed),
-        true,
-    )
+fn base_map(seed: u64) -> SpatialInstance {
+    datagen::clustered_map(CLUSTERS, PER_CLUSTER, seed)
 }
 
-fn legacy_db(seed: u64) -> TopoDatabase {
-    TopoDatabase::from_instance_with_epoch_chain(
-        datagen::clustered_map(CLUSTERS, PER_CLUSTER, seed),
-        false,
-    )
-}
-
-/// Byte-comparable digest of everything a reader can observe: epoch, names,
-/// the full relation matrix, and the rows of an anchored open query.
+/// Byte-comparable digest of everything a reader can observe of an
+/// instance: names, the full relation matrix, and the rows of an anchored
+/// open query.
 fn observable_digest(snap: &topodb::Snapshot, query: &PreparedQuery) -> String {
     format!(
-        "epoch={} names={:?} matrix={:?} rows={:?}",
-        snap.epoch(),
+        "names={:?} matrix={:?} rows={:?}",
         snap.names(),
         snap.relation_matrix(),
         snap.evaluate(query).expect("anchored query evaluates"),
     )
 }
 
+/// The test-only oracle: `snap` (of a database whose instance is
+/// `instance`) must observe what a cold rebuild of `instance` observes, and
+/// its complex view must match the monolithic construction up to
+/// re-indexing.
+fn assert_matches_cold_rebuild(
+    snap: &topodb::Snapshot,
+    instance: &SpatialInstance,
+    query: &PreparedQuery,
+    context: &str,
+) {
+    let cold = TopoDatabase::from_instance(instance.clone());
+    assert_eq!(
+        observable_digest(snap, query),
+        observable_digest(&cold.snapshot(), query),
+        "head diverged from a cold rebuild {context}"
+    );
+    assert_eq!(
+        fingerprint(&*snap.complex_view()),
+        fingerprint(&arrangement::build_complex_monolithic(instance)),
+        "head view diverged from the monolithic complex {context}"
+    );
+}
+
 #[test]
-fn randomized_interleaved_schedules_match_legacy_oracle_exactly() {
+fn randomized_interleaved_schedules_match_cold_rebuild_oracle() {
     let query = PreparedQuery::compile("overlap(ext(x), C000_R000)").expect("query compiles");
     for seed in 0..4u64 {
-        let chain = chain_db(900 + seed);
-        let legacy = legacy_db(900 + seed);
-        assert!(chain.epoch_chain_enabled() && !legacy.epoch_chain_enabled());
+        let mut model = base_map(900 + seed);
+        let db = TopoDatabase::from_instance(model.clone());
         let mut rng = StdRng::seed_from_u64(0xec0c + seed);
-        let mut held: Vec<(topodb::Snapshot, topodb::Snapshot, String)> = Vec::new();
+        let mut held: Vec<(topodb::Snapshot, u64, String)> = Vec::new();
         for step in 0..30 {
+            let context = format!("at step {step} (seed {seed})");
             match rng.gen_range(0..10u32) {
-                // Batched commit: 1–3 operations over random clusters, the
-                // identical batch applied to both databases.
+                // Batched commit: 1–3 operations over random clusters,
+                // mirrored onto the plain model instance.
                 0..=4 => {
-                    let mut chain_txn = chain.begin_shared();
-                    let mut legacy_txn = legacy.begin_shared();
+                    let before = db.update_epoch();
+                    let mut txn = db.begin_shared();
                     for _ in 0..rng.gen_range(1..=3) {
                         let cluster = rng.gen_range(0..CLUSTERS);
+                        let name = format!("X{:03}", rng.gen_range(0..12));
                         if rng.gen_bool(0.3) {
-                            let name = format!("X{:03}", rng.gen_range(0..12));
-                            chain_txn.remove(name.clone());
-                            legacy_txn.remove(name);
+                            txn.remove(name.clone());
+                            model.remove(&name);
                         } else {
-                            let name = format!("X{:03}", rng.gen_range(0..12));
                             let region = cluster_region(&mut rng, cluster);
-                            chain_txn.insert(name.clone(), region.clone());
-                            legacy_txn.insert(name, region);
+                            txn.insert(name.clone(), region.clone());
+                            model.insert(name, region);
                         }
                     }
-                    let c = chain_txn.commit();
-                    let l = legacy_txn.commit();
-                    assert_eq!(c, l, "commit summaries diverged at step {step} (seed {seed})");
+                    let summary = txn.commit();
+                    let expected = before + u64::from(!summary.changed.is_empty());
+                    assert_eq!(summary.epoch, expected, "epoch accounting {context}");
+                    assert_eq!(db.update_epoch(), expected, "epoch accounting {context}");
                 }
-                // Read + compare everything observable.
-                5..=8 => {
-                    let cs = chain.snapshot();
-                    let ls = legacy.snapshot();
-                    assert_eq!(
-                        observable_digest(&cs, &query),
-                        observable_digest(&ls, &query),
-                        "observable state diverged at step {step} (seed {seed})"
-                    );
-                    assert_eq!(chain.update_epoch(), legacy.update_epoch());
-                }
-                // Hold a snapshot pair for later: earlier epochs must keep
-                // answering identically on both backends.
+                // Read: nothing to do beyond the per-step check below.
+                5..=8 => {}
+                // Hold a snapshot: earlier epochs must keep answering as
+                // they did when taken.
                 _ => {
-                    let cs = chain.snapshot();
-                    let ls = legacy.snapshot();
-                    let digest = observable_digest(&cs, &query);
-                    held.push((cs, ls, digest));
+                    let snap = db.snapshot();
+                    let (epoch, digest) = (snap.epoch(), observable_digest(&snap, &query));
+                    held.push((snap, epoch, digest));
                 }
             }
+            assert_eq!(*db.instance(), model, "head instance diverged {context}");
+            let head = db.snapshot();
+            assert_eq!(head.epoch(), db.update_epoch());
+            assert_matches_cold_rebuild(&head, &model, &query, &context);
         }
-        for (cs, ls, digest) in &held {
-            assert_eq!(&observable_digest(cs, &query), digest, "held chain snapshot drifted");
-            assert_eq!(&observable_digest(ls, &query), digest, "held legacy snapshot drifted");
+        for (snap, epoch, digest) in &held {
+            assert_eq!(snap.epoch(), *epoch, "held snapshot changed epoch");
+            assert_eq!(&observable_digest(snap, &query), digest, "held snapshot drifted");
         }
     }
 }
@@ -123,7 +141,7 @@ fn cluster_region(rng: &mut StdRng, c: usize) -> Region {
 
 #[test]
 fn concurrent_readers_and_writers_stress() {
-    let db = Arc::new(chain_db(7777));
+    let db = Arc::new(TopoDatabase::from_instance(base_map(7777)));
     // Warm the root epoch so reader assertions start from a built head.
     db.snapshot();
     let writers = 3usize;
@@ -195,33 +213,22 @@ fn concurrent_readers_and_writers_stress() {
 
     // Writers own disjoint name spaces and each applied a deterministic
     // final sub-state, so the final instance is interleaving-independent:
-    // the legacy oracle applying the same final sub-states must observe a
+    // a cold rebuild of the same final sub-states must observe a
     // byte-identical world.
-    let oracle = legacy_db(7777);
-    {
-        let mut txn = oracle.begin_shared();
-        for w in 0..writers {
-            let mut rng = StdRng::seed_from_u64(0xbeef + w as u64);
-            for i in 0..commits_per_writer {
-                let cluster = if w < 2 { w } else { rng.gen_range(0..CLUSTERS) };
-                let region = cluster_region(&mut rng, cluster);
-                txn.insert(format!("W{w}_N{i:03}"), region);
-                if i >= 4 {
-                    txn.remove(format!("W{w}_N{:03}", i - 4));
-                }
+    let mut expected = base_map(7777);
+    for w in 0..writers {
+        let mut rng = StdRng::seed_from_u64(0xbeef + w as u64);
+        for i in 0..commits_per_writer {
+            let cluster = if w < 2 { w } else { rng.gen_range(0..CLUSTERS) };
+            expected.insert(format!("W{w}_N{i:03}"), cluster_region(&mut rng, cluster));
+            if i >= 4 {
+                expected.remove(&format!("W{w}_N{:03}", i - 4));
             }
         }
-        txn.commit();
     }
+    assert_eq!(*db.instance(), expected, "final instance diverged");
     let query = PreparedQuery::compile("overlap(ext(x), C000_R000)").expect("query compiles");
-    let chain_final = db.snapshot();
-    let oracle_final = oracle.snapshot();
-    assert_eq!(chain_final.names(), oracle_final.names());
-    assert_eq!(chain_final.relation_matrix(), oracle_final.relation_matrix());
-    assert_eq!(
-        format!("{:?}", chain_final.evaluate(&query).unwrap()),
-        format!("{:?}", oracle_final.evaluate(&query).unwrap()),
-    );
+    assert_matches_cold_rebuild(&db.snapshot(), &expected, &query, "after the stress run");
     eprintln!(
         "stress: {} epochs, {} publish conflicts, {} component re-sweeps",
         db.update_epoch(),
@@ -232,7 +239,7 @@ fn concurrent_readers_and_writers_stress() {
 
 #[test]
 fn commits_reuse_untouched_components_pointer_identically() {
-    let db = chain_db(31415);
+    let db = TopoDatabase::from_instance(base_map(31415));
     let before = db.component_complexes();
     assert!(before.len() >= CLUSTERS, "clustered map yields at least one component per cluster");
 
@@ -284,17 +291,4 @@ fn commits_reuse_untouched_components_pointer_identically() {
             "component {key:?} untouched by either concurrent writer was re-swept"
         );
     }
-}
-
-#[test]
-fn epoch_chain_toggle_is_observable_and_both_serve_identical_results() {
-    let chain = chain_db(5);
-    let legacy = legacy_db(5);
-    assert!(chain.epoch_chain_enabled());
-    assert!(!legacy.epoch_chain_enabled());
-    assert_eq!(chain.snapshot().relation_matrix(), legacy.snapshot().relation_matrix());
-    // The env default is merely a default: explicit construction wins, and
-    // both backends expose the same epoch accounting.
-    assert_eq!(chain.update_epoch(), 0);
-    assert_eq!(legacy.update_epoch(), 0);
 }

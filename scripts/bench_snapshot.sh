@@ -9,8 +9,8 @@
 # open-query planner group (`planner_bindings`, including its work-counter
 # metrics), the open-loop traffic harness (`traffic/*` p50/p99 latency
 # metrics) and the epoch-publication group (`epoch_publish/*`: snapshot
-# acquisition uncontended, commit+read, and read latency under a
-# continuously committing writer, epoch chain vs the legacy RwLock), merges
+# acquisition uncontended, commit+read, and read and commit latency while a
+# writer commits continuously), merges
 # their machine-readable records into one snapshot
 # (default: BENCH_arrangement.json at the repository root), and then
 # compares the fresh run against the previously committed snapshot:
@@ -24,11 +24,8 @@
 #     with a wider >150% threshold (open-loop tail latencies are noisier
 #     than median ns/iter), as is `wal_commit/percommit/p50_ns` (fsync
 #     latency varies with the host's storage stack);
-#   * on multi-core hosts, snapshot acquisition under a continuously
-#     committing writer must have a lower p99 on the epoch chain than on
-#     the legacy RwLock cache (skipped on a single core, where the
-#     "background" writer timeshares the only CPU with the readers and the
-#     comparison measures the scheduler, not the lock structure);
+#   * the epoch_publish group must have recorded its read-under-write
+#     percentiles;
 #   * the sweep must still beat the naive splitter, the incremental update
 #     path must beat the full rebuild, a k-insert transaction must beat k
 #     sequential insert+read rounds, and the zero-copy view assembly must
@@ -94,7 +91,7 @@ echo "running planner_bindings group" >&2
 BENCH_JSON="${planner_json}" cargo bench -p bench --bench planner
 echo "running open-loop traffic harness" >&2
 BENCH_JSON="${traffic_json}" cargo bench -p bench --bench traffic
-echo "running epoch_publish group (chain vs rwlock snapshot publication)" >&2
+echo "running epoch_publish group (snapshot publication under a writer)" >&2
 BENCH_JSON="${epoch_json}" cargo bench -p bench --bench epoch_publish
 echo "running wal_commit group (durable commit latency per sync policy)" >&2
 BENCH_JSON="${wal_json}" cargo bench -p bench --bench wal
@@ -313,27 +310,17 @@ else
     exit 1
 fi
 
-# Sanity 10: epoch-chain snapshot publication. The epoch_publish group must
-# have recorded read-under-write percentiles for both backends, and on
-# multi-core hosts the chain's p99 must beat the RwLock's — the headline
-# claim: readers never wait on a writer's lock or pay its re-sweep inline.
-# On a single core the "background" writer timeshares the only CPU with the
-# sampling reader, so the comparison measures the scheduler and is skipped.
-chain_p99=$(extract_value "${out}" "epoch_publish/chain/read_under_write_p99_ns")
-rwlock_p99=$(extract_value "${out}" "epoch_publish/rwlock/read_under_write_p99_ns")
-if [ -z "${chain_p99}" ] || [ -z "${rwlock_p99}" ]; then
+# Sanity 10: snapshot publication. The epoch_publish group must have
+# recorded read-under-write percentiles (the p99 is gated on the trajectory
+# below), reported next to the write load the writer put behind them.
+read_p99=$(extract_value "${out}" "epoch_publish/chain/read_under_write_p99_ns")
+commits=$(extract_value "${out}" "epoch_publish/chain/commits")
+commit_p99=$(extract_value "${out}" "epoch_publish/chain/commit_p99_ns")
+if [ -z "${read_p99}" ] || [ -z "${commits}" ] || [ -z "${commit_p99}" ]; then
     echo "error: epoch_publish recorded no read-under-write percentiles" >&2
     exit 1
 fi
-echo "read under write p99: chain ${chain_p99} ns vs rwlock ${rwlock_p99} ns" >&2
-if [ "${cores}" -gt 1 ]; then
-    if [ "$(awk -v c="${chain_p99}" -v r="${rwlock_p99}" 'BEGIN { print (c < r) ? "yes" : "no" }')" != "yes" ]; then
-        echo "error: the epoch chain's read-under-write p99 did not beat the RwLock's on a ${cores}-core host" >&2
-        exit 1
-    fi
-else
-    echo "single-core host (${cores}): skipping the chain-beats-lock gate (writer and readers timeshare one CPU)" >&2
-fi
+echo "read under write p99: ${read_p99} ns (writer landed ${commits} commits, commit p99 ${commit_p99} ns)" >&2
 
 # Sanity 11: durability is affordable. The per-commit-fsync policy must
 # keep its commit p50 within 20x of the in-memory commit p50 at 256
